@@ -21,6 +21,10 @@ The scenarios stress the distinct service paths of
 - ``gups_dup``    — each batch drawn with replacement from a half-batch
   pool (~50% duplicates): the duplicate-replay path, where repeats
   resolve as L3 hits after the first touch;
+- ``gups_dse``    — the product's DSE gups cell shape: a design-space
+  geometry at the sweep's scale (8-block L3 slices), 48 workers, a
+  4 MiB table: every batch overflows the slice, so the gather kernel's
+  exact LRU replay services it;
 - ``stream``      — disjoint sequential read streams: DRAM fills with
   full MLP overlap, no sharing;
 - ``stream_run``  — the same streams emitted as run-compressed
@@ -56,7 +60,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.hw.machine import Machine, milan
+from repro.bench.dse import DSE_MACHINE_SCALE, MAX_WORKERS
+from repro.hw.machine import MIB, Machine, MachineGeometry, milan
 from repro.runtime.ops import Compute, YieldPoint
 from repro.runtime.policy import CharmStrategy
 from repro.runtime.program import OpProgram
@@ -89,6 +94,9 @@ RECORDED_BASELINE: Dict[str, float] = {
     # of batch order or repeats, so both anchor to the gups figure.
     "gups_unsorted": 130_250.0,
     "gups_dup": 130_250.0,
+    # The scalar-dominated pre-replay figure (gather declined every
+    # capacity-pressured batch), measured at commit 177cd9d.
+    "gups_dse": 121_967.0,
     # Pre-hit-path-kernel figures, measured at commit 24b780a (scalar
     # per-block hit and peer-fill servicing) against these exact scenario
     # definitions.
@@ -147,6 +155,7 @@ def _run_scenario(build, attach=None) -> Dict[str, float]:
             if loop.cohorts else 0.0,
         },
     }
+    out["gather_declines"] = dict(runtime.machine.gather_declines)
     stats = getattr(runtime.machine.caches, "stats", None)
     if stats is not None:
         out["cache"] = stats()["total"]
@@ -348,6 +357,39 @@ def scenario_gups_dup(updates_per_worker: int, attach=None,
     return _run_scenario(build, attach)
 
 
+#: ``gups_dse`` machine: a DSE lattice point (4 MiB L3 -> 8-block slices
+#: at the sweep's scale) with more cores than the sweep's worker cap.
+GUPS_DSE_GEOMETRY = MachineGeometry(
+    chiplets_per_socket=4, cores_per_chiplet=12, l3_mib_per_chiplet=4,
+    mem_channels_per_socket=8)
+
+
+def scenario_gups_dse(updates_per_worker: int, attach=None) -> Dict[str, float]:
+    """The DSE gups cell: raw random writes to a 4 MiB table on 8-block slices.
+
+    Same emission as ``gups_unsorted`` (unsorted, repeats kept), but on
+    the capacity-pressured geometry the product simulates: every batch
+    has more distinct blocks than the requester's slice holds.
+    """
+
+    def build() -> Runtime:
+        machine = GUPS_DSE_GEOMETRY.build(scale=DSE_MACHINE_SCALE)
+        runtime = Runtime(machine, MAX_WORKERS, CharmStrategy(), seed=SEED)
+        region = runtime.alloc_shared(4 * MIB, name="perf-gups-dse")
+        per_worker = []
+        for wid in range(MAX_WORKERS):
+            rng = np.random.default_rng(derive_seed(SEED, "perf-gups-dse", wid))
+            idx = rng.integers(0, region.n_blocks, size=updates_per_worker, dtype=np.int64)
+            per_worker.append([
+                idx[s : s + BATCH_BLOCKS]
+                for s in range(0, updates_per_worker, BATCH_BLOCKS)
+            ])
+        _spawn_batches(runtime, region, per_worker, write=True, nbytes=64)
+        return runtime
+
+    return _run_scenario(build, attach)
+
+
 def scenario_shared_read_hot(rounds: int, attach=None) -> Dict[str, float]:
     """Run-compressed re-reads of a region that never leaves any L3 slice.
 
@@ -472,6 +514,7 @@ SCENARIOS = {
     "gups_run": scenario_gups_run,
     "gups_unsorted": scenario_gups_unsorted,
     "gups_dup": scenario_gups_dup,
+    "gups_dse": scenario_gups_dse,
     "stream": scenario_stream,
     "stream_run": scenario_stream_run,
     "shared_read": scenario_shared_read,
@@ -481,12 +524,12 @@ SCENARIOS = {
 }
 
 FULL_SIZES = {"gups": 65536, "gups_run": 65536, "gups_unsorted": 65536,
-              "gups_dup": 65536, "stream": 65536,
+              "gups_dup": 65536, "gups_dse": 512, "stream": 65536,
               "stream_run": 65536, "shared_read": 512,
               "shared_read_hot": 512, "pagerank_micro": 24,
               "compute_bound": 2048}
 CHECK_SIZES = {"gups": 4096, "gups_run": 4096, "gups_unsorted": 4096,
-               "gups_dup": 4096, "stream": 4096,
+               "gups_dup": 4096, "gups_dse": 512, "stream": 4096,
                "stream_run": 4096, "shared_read": 4,
                "shared_read_hot": 8, "pagerank_micro": 2,
                "compute_bound": 256}
@@ -561,6 +604,9 @@ def run_suite(sizes: Dict[str, int], verbose: bool = True,
                     for path, rec in best["kernel_profile"].items()
                 )
                 print(f"{'':12s} kernel wall shares: {shares}")
+                declines = ", ".join(f"{reason}={k}" for reason, k
+                                     in best["gather_declines"].items())
+                print(f"{'':12s} gather declines: {declines}")
     return results
 
 

@@ -346,25 +346,60 @@ class CacheSystem:
         """Clear ``chiplet``'s bit on every victim's directory entry,
         freeing entries that empty.  Vectorized for the steady state where
         no peer holds any victim (every mask is exactly this chiplet's
-        bit): one fancy-indexed compare, one bulk delete."""
+        bit): one bulk pop, one fancy-indexed compare."""
         dir_slot = self._dir_slot
         mask_col = self._dir_mask
         bit = 1 << chiplet
-        vslots = np.fromiter(map(dir_slot.__getitem__, victims), dtype=np.int64,
+        vslots = np.fromiter(map(dir_slot.pop, victims), dtype=np.int64,
                              count=len(victims))
         vmasks = mask_col[vslots]
         if not np.bitwise_and(vmasks, ~bit).any():
             mask_col[vslots] = 0
-            deque(map(dir_slot.__delitem__, victims), maxlen=0)
             self._dir_free.extend(vslots.tolist())
         else:
             dir_free = self._dir_free
             for v, s, m in zip(victims, vslots.tolist(), vmasks.tolist()):
                 m &= ~bit
                 mask_col[s] = m
-                if not m:
-                    del dir_slot[v]
+                if m:
+                    dir_slot[v] = s  # a peer still holds it
+                else:
                     dir_free.append(s)
+
+    def set_holder_masks(self, keys: np.ndarray, rows: np.ndarray,
+                         masks: np.ndarray) -> None:
+        """Bulk directory write: give each of ``keys`` its holder mask.
+
+        ``rows[i]`` is key ``i``'s current directory row, or -1 when it
+        has none; keys are distinct.  A zero mask removes the entry, a
+        nonzero one updates the row or mints a new one (reusing the rows
+        this call frees first).  The gather kernel's directory writeback.
+        """
+        mask_col = self._dir_mask
+        dir_slot = self._dir_slot
+        has = rows >= 0
+        keep = masks != 0
+        upd = has & keep
+        mask_col[rows[upd]] = masks[upd]
+        gone = has & ~keep
+        freed = rows[gone]
+        if freed.size:
+            deque(map(dir_slot.__delitem__, keys[gone].tolist()), maxlen=0)
+        new = keep & ~has
+        n_new = int(np.count_nonzero(new))
+        if n_new:
+            new_rows = freed[:n_new]
+            freed = freed[n_new:]
+            if new_rows.size < n_new:
+                extra = self._dir_take_slots(n_new - new_rows.size)
+                new_rows = np.concatenate(
+                    (new_rows, np.asarray(extra, dtype=np.int64)))
+                mask_col = self._dir_mask
+            mask_col[new_rows] = masks[new]
+            dir_slot.update(zip(keys[new].tolist(), new_rows.tolist()))
+        if freed.size:
+            mask_col[freed] = 0
+            self._dir_free.extend(freed.tolist())
 
     def fill_run(self, chiplet: int, blocks: Sequence[int], nbytes: int,
                  shared: bool = False) -> int:

@@ -181,6 +181,14 @@ class Machine:
         # plus a None check at batch/segment granularity, never per block.
         self.obs = None
         self.profiler = None
+        # Why batches long enough for the array kernels did not get the
+        # gather kernel, by reason (always on: one dict increment per
+        # declined batch).  ``mixed_sizes``: the requester's slice holds
+        # entries of another block size; ``block_gt_slice``: the region's
+        # block exceeds the slice; ``replicated``: REPLICATED regions have
+        # per-reader homes no array kernel models.
+        self.gather_declines = {"mixed_sizes": 0, "block_gt_slice": 0,
+                                "replicated": 0}
 
     # -- Allocation ----------------------------------------------------------
 
@@ -498,7 +506,10 @@ class Machine:
         # Mutable span state: [t, finish, inval_total, hits, misses].
         state = [now, now, 0, 0, 0]
 
-        vec = n >= VECTOR_MIN and region.policy is not MemPolicy.REPLICATED
+        vec = n >= VECTOR_MIN
+        if vec and region.policy is MemPolicy.REPLICATED:
+            self.gather_declines["replicated"] += 1
+            vec = False
         if vec and arr is None:
             try:
                 arr = np.asarray(seq, dtype=np.int64)
@@ -547,8 +558,9 @@ class Machine:
             serviced = False
             if not validated and (write or not sorted_inc):
                 # Irregular shapes — unsorted spans, duplicates, write
-                # batches with sharers — go to the gather kernel, which
-                # services the whole batch or declines untouched.
+                # batches with sharers, capacity pressure — go to the
+                # gather kernel, which services the whole batch or
+                # declines untouched (only on mixed block sizes).
                 prof = self.profiler
                 pt0 = perf_counter() if prof is not None else 0.0
                 g = vector.gather_segment(
@@ -560,6 +572,9 @@ class Machine:
                     if prof is not None:
                         prof.add("vec_dup_replay" if g else "vec_gather",
                                  n, perf_counter() - pt0)
+                elif prof is not None:
+                    # A declined attempt is part of the fallback's cost.
+                    prof.add("scalar", 0, perf_counter() - pt0)
             if not serviced:
                 cuts: Sequence[int] = ()
                 if not distinct and not sorted_inc:

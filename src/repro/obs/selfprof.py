@@ -5,12 +5,14 @@ machine in virtual time — this profiler observes the simulator itself in
 host wall-clock time, attributing it to the kernel paths introduced by
 the perf PRs:
 
-- ``scalar``         — the per-access fallback loop (``Machine._scalar_span``)
+- ``scalar``         — the per-access fallback loop (``Machine._scalar_span``),
+  plus the wall time of gather attempts that declined into it (counted
+  as calls with 0 accesses; the reasons are in ``Machine.gather_declines``)
 - ``vec_miss``       — vectorized DRAM-fill segments (``dram_fill_segment``)
 - ``vec_hit``        — vectorized local-hit segments (``local_hit_segment``)
 - ``vec_peer``       — vectorized peer-fill segments (``peer_fill_segment``)
-- ``vec_gather``     — whole-batch gather kernel on unsorted unique
-  batches (``gather_segment``, no duplicates present)
+- ``vec_gather``     — whole-batch gather kernel (``gather_segment``) on
+  unsorted, write or capacity-pressured batches with no duplicates
 - ``vec_dup_replay`` — the same kernel when repeats were replayed as hits
 - ``hot_replay``     — the O(1) cached re-read fast path in ``access_run``
 - ``access``         — single-access ``Machine.access`` calls
