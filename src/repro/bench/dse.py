@@ -409,7 +409,7 @@ register("dse", _dse_exp_cells, _run_dse_cell, _dse_exp_merge)
 
 def run_dse(budget: int = DEFAULT_BUDGET, jobs: int = 0,
             out_dir: Path = Path("results") / "dse", use_cache: bool = True,
-            progress=None, order: str = "ljf",
+            progress=None,
             ) -> Tuple[Dict[str, Any], Any]:
     """Generate, sweep, reduce, and write one DSE run.
 
@@ -419,7 +419,7 @@ def run_dse(budget: int = DEFAULT_BUDGET, jobs: int = 0,
 
     cells = dse_cells(budget)
     results, stats = run_cells(cells, jobs=jobs, use_cache=use_cache,
-                               progress=progress, order=order)
+                               progress=progress)
     stats.experiments = ["dse"]
     report = reduce_results(cells, results)
     report["stats"] = stats.as_dict()
@@ -478,26 +478,20 @@ def _bench(budget: int, jobs: int, out: Path) -> int:
     jobs = resolve_jobs(jobs)
     cells = dse_cells(budget)
 
-    def timed(label: str, **kwargs) -> Tuple[Any, Dict[str, Any]]:
-        with _temp_store():
-            t0 = time.perf_counter()
-            _, stats = run_cells(cells, jobs=jobs, **kwargs)
-            wall = time.perf_counter() - t0
-            resume_stats = None
-            if kwargs.get("order", "ljf") == "ljf":
-                _, resume_stats = run_cells(cells, jobs=jobs, **kwargs)
-        print(f"{label:14s} jobs={stats.jobs:<3d} {wall:7.2f}s "
-              f"({stats.total} cells, {stats.cells_per_sec:.1f} cells/s, "
-              f"efficiency {stats.efficiency:.2f})")
-        return resume_stats, {
-            "wall_s": round(wall, 2),
-            "cells_per_sec": round(stats.cells_per_sec, 2),
-            "pool_efficiency": round(stats.efficiency, 3),
-            "chunks": stats.chunks,
-        }
-
-    resume, ljf = timed("ljf+chunked")
-    _, fifo = timed("fifo/per-cell", order="fifo", chunked=False)
+    with _temp_store():
+        t0 = time.perf_counter()
+        _, stats = run_cells(cells, jobs=jobs)
+        wall = time.perf_counter() - t0
+        _, resume = run_cells(cells, jobs=jobs)
+    print(f"ljf+chunked    jobs={stats.jobs:<3d} {wall:7.2f}s "
+          f"({stats.total} cells, {stats.cells_per_sec:.1f} cells/s, "
+          f"efficiency {stats.efficiency:.2f})")
+    ljf = {
+        "wall_s": round(wall, 2),
+        "cells_per_sec": round(stats.cells_per_sec, 2),
+        "pool_efficiency": round(stats.efficiency, 3),
+        "chunks": stats.chunks,
+    }
     check = measure_check()
 
     section: Dict[str, Any] = {
@@ -507,8 +501,6 @@ def _bench(budget: int, jobs: int, out: Path) -> int:
         "cells": len(cells),
         "jobs": jobs,
         "ljf_chunked": ljf,
-        "fifo_per_cell": fifo,
-        "ljf_speedup_vs_fifo": round(ljf["wall_s"] and fifo["wall_s"] / ljf["wall_s"], 2),
         "resume": {
             "wall_s": round(resume.wall_s, 2),
             "cache_hit_ratio": round(resume.cache_hit_ratio, 3),
@@ -518,9 +510,8 @@ def _bench(budget: int, jobs: int, out: Path) -> int:
     host_cpus = os.cpu_count() or 1
     if host_cpus < jobs:
         section["note"] = (
-            f"host has only {host_cpus} cpu(s); pool efficiency and the "
-            f"LJF-vs-FIFO gap are IPC-bound here and scale with available "
-            f"cores")
+            f"host has only {host_cpus} cpu(s); pool efficiency is "
+            f"IPC-bound here and scales with available cores")
     doc: Dict[str, Any] = {}
     if out.exists():
         try:
@@ -530,7 +521,6 @@ def _bench(budget: int, jobs: int, out: Path) -> int:
     doc["dse"] = section
     out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
     print(f"updated {out} (dse section); "
-          f"{section['ljf_speedup_vs_fifo']}x ljf-vs-fifo, "
           f"resume hit ratio {section['resume']['cache_hit_ratio']}")
     return 0
 
@@ -546,9 +536,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="output directory for CSVs and summary")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and don't write the result store")
-    parser.add_argument("--order", choices=("ljf", "fifo"), default="ljf")
     parser.add_argument("--bench", action="store_true",
-                        help="measure sweep throughput (LJF vs FIFO, resume) "
+                        help="measure sweep throughput (cold and resume) "
                              "and update the dse section of BENCH_simperf.json")
     parser.add_argument("--bench-out", type=Path,
                         default=Path("BENCH_simperf.json"))
@@ -562,8 +551,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     report, stats = run_dse(budget=args.budget, jobs=args.jobs,
                             out_dir=args.out,
-                            use_cache=not args.no_cache, progress=say,
-                            order=args.order)
+                            use_cache=not args.no_cache, progress=say)
     print(render_summary(report))
     print(f"\n{stats.total} cells ({stats.cache_hits} cached) in "
           f"{stats.wall_s:.1f}s — {stats.cells_per_sec:.1f} cells/s, "

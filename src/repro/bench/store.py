@@ -32,10 +32,7 @@ content-addressed entries into one SQLite file:
   hint per cell, which is the calibration set of the sweep scheduler's
   cost model (:mod:`repro.bench.cost`); calibration deliberately spans
   code versions, since a code edit invalidates *results* but not the
-  relative cost of re-running them;
-- **self-migrating** — on open, any legacy ``<key>.json`` files sitting
-  next to the store (the PR 2 layout under ``results/.sweep-cache/``)
-  are imported and removed, so existing caches survive the switch.
+  relative cost of re-running them.
 
 Within one sweep the store is only ever written by the *parent* process
 (workers return results over the pool); across runs, any number of
@@ -85,8 +82,8 @@ _EVICT_CHECK_EVERY = 256
 class ResultStore:
     """One content-addressed result store backed by a SQLite file.
 
-    Open with :meth:`open` (which also runs the legacy-JSON migration);
-    ``get``/``put`` are the hot path, everything else is maintenance.
+    Open with :meth:`open`; ``get``/``put`` are the hot path, everything
+    else is maintenance.
     """
 
     def __init__(self, path: Path, max_bytes: Optional[int] = None):
@@ -97,7 +94,6 @@ class ResultStore:
         self.max_bytes = max_bytes
         self._pid = os.getpid()
         self._puts_since_check = 0
-        self.migrated = 0
         # one connection shared across this process's threads; every
         # transaction holds this lock (SQLite connections serialize
         # internally, but our read-modify-write sequences must not
@@ -110,13 +106,10 @@ class ResultStore:
 
     @classmethod
     def open(cls, directory: Path, max_bytes: Optional[int] = None) -> "ResultStore":
-        """Open (creating if needed) the store under ``directory`` and
-        migrate any legacy one-JSON-per-cell entries found beside it."""
+        """Open (creating if needed) the store under ``directory``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        store = cls(directory / STORE_FILENAME, max_bytes=max_bytes)
-        store.migrate_legacy(directory)
-        return store
+        return cls(directory / STORE_FILENAME, max_bytes=max_bytes)
 
     def _connect(self) -> sqlite3.Connection:
         try:
@@ -313,7 +306,6 @@ class ResultStore:
             "stale_entries": stale,
             "max_bytes": self.max_bytes,
             "journal_mode": self.journal_mode,
-            "migrated_legacy_entries": self.migrated,
             "by_experiment": by_experiment,
         }
 
@@ -329,50 +321,6 @@ class ResultStore:
                 "SELECT experiment, work_units, wall_s FROM results "
                 "WHERE wall_s IS NOT NULL AND work_units IS NOT NULL "
                 "ORDER BY last_used DESC LIMIT ?", (limit,)).fetchall()
-
-    # -- legacy migration ------------------------------------------------------
-
-    def migrate_legacy(self, directory: Path) -> int:
-        """Import PR 2-style ``<key>.json`` files beside the store.
-
-        The file stem *is* the content-addressed key, so entries import
-        without recomputing any hash.  Successfully imported files are
-        removed; unparsable files are left in place (they were cache
-        misses before and stay that way).  Returns the number imported.
-        """
-        directory = Path(directory)
-        if not directory.is_dir():
-            return 0
-        imported = 0
-        with self._lock:
-            imported = self._migrate_locked(directory)
-        self.migrated += imported
-        return imported
-
-    def _migrate_locked(self, directory: Path) -> int:
-        imported = 0
-        for path in sorted(directory.glob("*.json")):
-            try:
-                doc = json.loads(path.read_text())
-                key = path.stem
-                result = doc["result"]
-                cell_id = doc.get("cell_id", "")
-                experiment = doc.get("cell", {}).get("experiment", "?")
-                version = doc.get("code_version", "")
-            except (OSError, json.JSONDecodeError, KeyError, AttributeError):
-                continue
-            exists = self.conn.execute(
-                "SELECT 1 FROM results WHERE key = ?", (key,)).fetchone()
-            if exists is None:
-                self.put(key, cell_id=cell_id, experiment=experiment,
-                         code_version=version,
-                         telemetry=bool(doc.get("telemetry")), result=result)
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - defensive
-                continue
-            imported += 1
-        return imported
 
     # -- introspection helpers (tests) ----------------------------------------
 

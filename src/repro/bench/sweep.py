@@ -126,8 +126,7 @@ def get_store() -> ResultStore:
 
     Opened lazily (``--no-cache`` runs never create the directory) and
     reopened whenever ``REPRO_SWEEP_CACHE`` points somewhere new — tests
-    repoint it per-case.  Opening migrates any legacy one-JSON-per-cell
-    entries (pre-store layout) into the SQLite file.
+    repoint it per-case.
     """
     global _STORE, _STORE_DIR
     d = cache_dir()
@@ -189,7 +188,6 @@ class SweepStats:
     wall_s: float = 0.0
     busy_s: float = 0.0
     chunks: int = 0
-    order: str = "ljf"
     experiments: List[str] = field(default_factory=list)
 
     @property
@@ -220,7 +218,7 @@ class SweepStats:
                 "busy_s": round(self.busy_s, 3),
                 "cells_per_sec": round(self.cells_per_sec, 2),
                 "pool_efficiency": round(self.efficiency, 3),
-                "chunks": self.chunks, "order": self.order,
+                "chunks": self.chunks,
                 "experiments": self.experiments}
 
 
@@ -265,19 +263,13 @@ def _execute_chunk(chunk: List[ExperimentCell], telemetry: bool,
     return out
 
 
-def _order_cells(todo: List[ExperimentCell], model: CostModel, order: str,
+def _order_cells(todo: List[ExperimentCell], model: CostModel,
                  ) -> List[ExperimentCell]:
-    """Schedule order for uncached cells.
+    """Schedule order for uncached cells: longest-job-first.
 
-    ``ljf``: longest-job-first by estimated cost (deterministic tiebreak
-    on cell_id) — big cells start early so no straggler lands last.
-    ``fifo``: caller order, kept as the comparison baseline for the
-    scheduler benchmark.
+    Sorted by estimated cost (deterministic tiebreak on cell_id), so big
+    cells start early and no straggler lands last.
     """
-    if order == "fifo":
-        return list(todo)
-    if order != "ljf":
-        raise ValueError(f"unknown order {order!r} (expected 'ljf' or 'fifo')")
     return sorted(todo, key=lambda c: (-model.estimate(c), c.cell_id))
 
 
@@ -324,8 +316,7 @@ def _fmt_eta(seconds: float) -> str:
 
 def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True,
               progress: Optional[Callable[[str], None]] = None,
-              telemetry: bool = False, order: str = "ljf",
-              chunked: bool = True,
+              telemetry: bool = False,
               ) -> Tuple[Dict[str, Any], SweepStats]:
     """Execute ``cells``, returning ``({cell_id: result}, stats)``.
 
@@ -335,12 +326,10 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
     :mod:`repro.bench.datasets` memoize per process); with ``jobs <= 1``
     they run inline.  Either way results land in a dict keyed by cell_id
     — merge order is the caller's cell order, not completion or schedule
-    order, so ``order``/``chunked`` cannot change any output bit.
+    order, so scheduling cannot change any output bit.
 
-    ``order="ljf"`` (default) sorts uncached work longest-job-first
-    using the cost model calibrated from the result store;
-    ``order="fifo"`` with ``chunked=False`` reproduces the pre-cost-model
-    engine (one future per cell, submission order) for comparison.
+    Uncached work runs longest-job-first on the cost model calibrated
+    from the result store, packed into chunked pool submissions.
 
     ``telemetry=True`` runs each cell through
     :func:`~repro.bench.cells.execute_cell_telemetry` (dict results gain
@@ -354,7 +343,7 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
     unique: Dict[str, ExperimentCell] = {}
     for cell in cells:
         unique.setdefault(cell.cell_id, cell)
-    stats = SweepStats(total=len(unique), jobs=jobs, order=order)
+    stats = SweepStats(total=len(unique), jobs=jobs)
 
     results: Dict[str, Any] = {}
     todo: List[ExperimentCell] = []
@@ -370,7 +359,7 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
         say(f"{stats.cache_hits}/{stats.total} cells from cache")
 
     model = CostModel.from_store(get_store()) if use_cache else CostModel()
-    ordered = _order_cells(todo, model, order)
+    ordered = _order_cells(todo, model)
 
     # ETA from the calibrated cost model: completed estimated-seconds so
     # far give an estimated-seconds/sec rate; remaining estimate / rate
@@ -408,10 +397,7 @@ def run_cells(cells: List[ExperimentCell], jobs: int = 1, use_cache: bool = True
             say(f"{done}/{len(todo)} cells done ({cell.cell_id})"
                 f"{eta_suffix()}")
     else:
-        if chunked:
-            chunks = _pack_chunks(ordered, model, jobs)
-        else:
-            chunks = [[c] for c in ordered]
+        chunks = _pack_chunks(ordered, model, jobs)
         stats.chunks = len(chunks)
         # fork shares the parent's imported modules and dataset cache
         # snapshot; spawn (the only option on some platforms) re-imports

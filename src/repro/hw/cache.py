@@ -297,6 +297,20 @@ class CacheSystem:
         self._dir_set_bit(block, bit)
         return evicted
 
+    def is_recency_tail(self, chiplet: int, blocks: Sequence[int]) -> bool:
+        """Whether ``blocks`` are exactly the slice's most-recent entries.
+
+        In order, so re-touching them is an LRU no-op: the steady state of
+        a cache-resident re-read loop, where every pass replays the same
+        run.  The last recency key is probed in O(1) before the O(len)
+        list compare.  A key sequence equal to distinct dict keys is
+        itself distinct, so a run with duplicates never matches.
+        """
+        lru = self.caches[chiplet]._slot
+        n = len(blocks)
+        return not n or (len(lru) >= n and next(reversed(lru)) == blocks[-1]
+                         and list(lru)[len(lru) - n:] == blocks)
+
     def touch_run(self, chiplet: int, blocks: Sequence[int]) -> None:
         """Bulk LRU touch: refresh the recency of ``blocks`` in batch order.
 
@@ -316,16 +330,9 @@ class CacheSystem:
             obs.emit("cache.touch_run", {"chiplet": chiplet, "n": len(blocks)})
         cache = self.caches[chiplet]
         lru = cache._slot
-        n = len(blocks)
-        # Steady-state fast path: when the slice's most-recent entries are
-        # exactly ``blocks`` in run order (the cache-resident re-read loop,
-        # where every pass replays the same run), re-touching them is an
-        # order no-op — each block already sits where its touch would move
-        # it.  One C-level list compare proves it, and only the hit counter
-        # needs updating.  A key sequence equal to distinct dict keys is
-        # itself distinct, so duplicates can never take this path.
-        if len(lru) >= n and list(lru)[len(lru) - n:] == blocks:
-            cache.hits += n
+        if self.is_recency_tail(chiplet, blocks):
+            # Each block already sits where its touch would move it.
+            cache.hits += len(blocks)
             return
         try:
             slots = [lru[b] for b in blocks]

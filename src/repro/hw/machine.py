@@ -381,7 +381,7 @@ class Machine:
             n = len(seq)
         return self._service_blocks(
             core, region, seq, arr, n, now, nbytes, write, per_issue_ns, mlp,
-            distinct=False, validated=False,
+            validated=False,
         )
 
     def access_run(
@@ -464,7 +464,7 @@ class Machine:
         arr = start + stride * np.arange(count, dtype=np.int64)
         return self._service_blocks(
             core, region, None, arr, count, now, nbytes, write, per_issue_ns, mlp,
-            distinct=True, validated=True,
+            validated=True,
         )
 
     def _service_blocks(
@@ -479,24 +479,30 @@ class Machine:
         write: bool,
         per_issue_ns: float,
         mlp: float,
-        distinct: bool,
         validated: bool,
     ) -> BatchResult:
-        """Shared batch/run servicing: segment, classify, vectorize, fall back.
+        """Shared batch/run servicing: pick a kernel, or fall back to scalar.
 
-        The batch is first split into maximal *duplicate-free segments* by
-        an O(n) seen-set splitter (a repeated block cuts a segment boundary
-        instead of forcing the whole batch scalar); each segment is then
-        classified into runs of equal service class — all-hit /
-        all-one-peer / all-miss / scalar — and the long runs are serviced
-        by the numpy kernels of :mod:`repro.hw.vector`
-        (:meth:`_service_segment`), interleaved with scalar spans for
-        everything else.  Classification up front is sound because a
-        duplicate-free segment cannot re-touch a block it already serviced
-        — see MODELING.md ("Hit-path and peer-fill kernels") for the
-        per-class stability argument; the one mutable hazard (fills
-        evicting a later hit run from the requester's slice) is guarded by
-        an eviction-counter check at dispatch time.
+        Unsorted and write batches go whole to the gather kernel
+        (:func:`repro.hw.vector.gather_segment`).  Sorted read batches,
+        runs, and batches the gather kernel declined are split into
+        maximal *duplicate-free segments* (an O(n) seen-set splitter cuts
+        a boundary at each repeat; sorted input needs no pass), and each
+        segment goes to :meth:`_service_segment`, which classifies it into
+        runs of equal service class for the numpy kernels of
+        :mod:`repro.hw.vector`, interleaved with merged scalar spans for
+        everything else.  ``validated`` marks input whose bounds and
+        distinctness the caller already proved (``access_run``'s
+        ``arange``): no bounds check, no gather attempt, no splitter.
+
+        Classification up front is sound because a duplicate-free segment
+        cannot re-touch a block it already serviced — see MODELING.md
+        ("Hit-path and peer-fill kernels") — except for fills that evict a
+        later hit run's blocks from the requester's slice.  The
+        eviction-counter guard in :meth:`_service_segment` is read before
+        the pending scalar span flushes, so that span's evictions slip
+        past it; ``tests/test_kernel_harness.py`` pins the divergence as a
+        strict xfail.
         """
         self.total_accesses += n
         if n == 0:
@@ -577,7 +583,7 @@ class Machine:
                     prof.add("scalar", 0, perf_counter() - pt0)
             if not serviced:
                 cuts: Sequence[int] = ()
-                if not distinct and not sorted_inc:
+                if not sorted_inc:
                     # Seen-set pass recording where duplicates force
                     # segment boundaries (the pre-gather fallback path).
                     if seq is None:
@@ -679,36 +685,30 @@ class Machine:
         every sharer-invalidating shape as scalar).  The single hazard is
         a fill *evicting* a later hit run's block from the requester's own
         slice — guarded below by re-checking the slice's eviction counter
-        at dispatch time and demoting the run to scalar if it moved.
+        at dispatch time and demoting the run to scalar if it moved.  The
+        check runs before the pending scalar span ahead of the run is
+        flushed, so evictions made by that span go unseen (a known
+        divergence from the scalar path, pinned by a strict xfail in
+        ``tests/test_kernel_harness.py``).
         """
         caches = self.caches
         dir_slot = caches._dir_slot
         cache = caches.caches[chiplet]
         whole_seg = i0 == 0 and i1 == len(keys_list)
         seg_keys = keys_list if whole_seg else keys_list[i0:i1]
-        lru = cache._slot
-        n_seg = i1 - i0
-        # Hot re-read steady state: the slice's most-recent entries are
-        # exactly this segment in batch order, so it is all-HIT *and* the
-        # bulk touch would reorder nothing.  Probed O(1) via the last
-        # recency key before paying the O(len(lru)) tail compare.
-        if (not write and len(lru) >= n_seg
-                and next(reversed(lru)) == seg_keys[-1]
-                and list(lru)[len(lru) - n_seg:] == seg_keys):
-            runs: Sequence[Tuple[int, int, int]] = ((_HIT, i0, i1),)
-            touch_noop = True
+        # Fast paths for the two homogeneous steady states: a streaming
+        # segment resident nowhere (one C-level disjointness check) and a
+        # hot read segment fully resident in the requester's slice.  The
+        # recency-tail test goes first: the cache-resident re-read loop
+        # passes it in about half the time of the superset check.
+        runs: Sequence[Tuple[int, int, int]]
+        if not dir_slot or dir_slot.keys().isdisjoint(seg_keys):
+            runs = ((_MISS, i0, i1),)
+        elif not write and (caches.is_recency_tail(chiplet, seg_keys)
+                            or cache._slot.keys() >= set(seg_keys)):
+            runs = ((_HIT, i0, i1),)
         else:
-            touch_noop = False
-            # Fast paths for the two other homogeneous steady states: a
-            # streaming segment resident nowhere (one C-level disjointness
-            # check) and a hot read segment fully resident in the
-            # requester's slice (one C-level superset check).
-            if not dir_slot or dir_slot.keys().isdisjoint(seg_keys):
-                runs = ((_MISS, i0, i1),)
-            elif not write and lru.keys() >= set(seg_keys):
-                runs = ((_HIT, i0, i1),)
-            else:
-                runs = self._classify_runs(chiplet, seg_keys, i0, write)
+            runs = self._classify_runs(chiplet, seg_keys, i0, write)
         ev0 = cache.evictions
         prof = self.profiler
         for lab, r0, r1 in runs:
@@ -738,7 +738,6 @@ class Machine:
             elif lab == _HIT:
                 t_end, fin = vector.local_hit_segment(
                     self, chiplet, kl, state[0], per_issue_ns, mlp,
-                    touch_noop=touch_noop,
                 )
                 # touch_run counted the hits on the slice directly; the
                 # span state must not double-count them in the finale.

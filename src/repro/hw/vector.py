@@ -9,7 +9,8 @@ with numpy array operations instead:
   pure latency, never on queue backpressure, so they are known up front);
 - each memory channel / fabric link / cross-socket link replays its
   max-plus queue recurrence ``free = max(free, t_i) + s`` over the batch's
-  arrivals grouped by server (:func:`serve_constant`);
+  arrivals grouped by server (:func:`serve_constant` for one server,
+  :func:`serve_groups` for many in one matrix pass);
 - LRU insert/evict and directory updates are bulk operations
   (:meth:`repro.hw.cache.CacheSystem.fill_run`).
 
@@ -19,8 +20,11 @@ products for the scalar path's sequential accumulation: every float chain
 the scalar loop builds one ``+=`` at a time is rebuilt here with a seeded
 ``np.cumsum`` (numpy accumulates left-to-right in IEEE double, exactly
 like the interpreter), and every comparison runs on those exact values.
-The equivalence contract is enforced by the hypothesis property suite in
-``tests/test_vector_kernels.py`` and ``tests/test_access_batch_equivalence.py``.
+The equivalence contract is enforced by the hypothesis property suites in
+``tests/test_vector_kernels.py``, ``tests/test_hitpath_equivalence.py``
+and ``tests/test_gather_equivalence.py`` (one shared forced-scalar
+harness, ``tests/test_kernel_harness.py``) and
+``tests/test_access_batch_equivalence.py``.
 
 Unsorted, duplicate-laden or write batches go whole to
 :func:`gather_segment`.  Within one batch the requester's L3 slice is the
@@ -49,6 +53,12 @@ boundaries), classified per *run* of equal service class by
 - everything else (REPLICATED regions, non-uniform sizes, writes that
   invalidate sharers, mixed-holder spans, short runs) falls back to the
   scalar loop, with boundaries chosen conservatively.
+
+One known gap: ``Machine._service_segment`` reads its eviction guard
+before it flushes the pending scalar span ahead of a hit run, so a span
+that evicts that run's blocks slips past it and the run is charged as
+local hits.  ``tests/test_kernel_harness.py`` pins the divergence as a
+strict xfail.
 
 The hot shape — a BIND-region arithmetic run (sequential or strided
 scan) arriving at an idle machine — additionally takes a *joint* fast
@@ -84,20 +94,6 @@ _LUT_SRC = np.array(
 # seeded cumsum beats the interpreter loop; below it, the numpy call
 # overhead dominates.
 _CHAIN_LOOP_MAX = 48
-
-# A queueing batch is served either by an interpreter replay of
-# ``_Server.service`` (~1 us per arrival) or by the busy-period cumsum
-# replay (a handful of numpy passes per busy period).  The interpreter
-# wins when periods are dense relative to arrivals: python_cost ~ m,
-# numpy_cost ~ periods * this many arrival-equivalents per pass.
-_SERVE_PERIOD_COST = 9
-
-# The breadth-first period replay chains *all* busy periods at once with
-# one vector add per queue position, so its cost is ~6 numpy ops per
-# *longest* period instead of per period.  Past this depth a single
-# dense period is cheaper through the per-period cumsum.
-_SERVE_VEC_MAX_DEPTH = 32
-
 
 def _chain(x0: float, m: int, s: float) -> float:
     """Endpoint of ``m`` sequential ``x0 += s`` updates, bit-exactly.
@@ -164,6 +160,8 @@ def serve_groups(servers: list, t: np.ndarray, bounds: np.ndarray,
     spaced at least ``s_row[g]`` apart, so any queue backlog carried in
     from earlier batches only shrinks): the row chain is then a seeded
     row cumsum up to the drain point and plain ``t + s`` after it.
+    A row whose server is idle at its head drains at its first arrival,
+    so idle rows take the same path (their wait chains add ``+0.0``).
     Internally dense rows are served by :func:`serve_constant`
     individually; the returned delay vector always covers every group.
     """
@@ -209,28 +207,6 @@ def serve_groups(servers: list, t: np.ndarray, bounds: np.ndarray,
     attrs = np.fromiter((x for sv in servers
                          for x in (sv.free_at, sv.busy_ns, sv.wait_ns)),
                         dtype=np.float64, count=3 * ng).reshape(ng, 3)
-    if bool((attrs[:, 0] <= heads).all()):
-        # Every row starts idle and stays idle (arrivals spaced >= s):
-        # each arrival departs at ``t + s`` with zero wait, so the wait
-        # chain adds +0.0 per arrival — a bitwise no-op on the
-        # non-negative accumulator — and only the busy chain needs a
-        # sequential replay.
-        fm = tm + sg
-        am = np.empty((ng, max_l + 1))
-        am[:, 0] = attrs[:, 1]
-        am[:, 1:] = sg
-        np.cumsum(am, axis=1, out=am)
-        busy_end = am[rows, length].tolist()
-        free_end = fm[rows, length - 1].tolist()
-        len_l = length.tolist()
-        for g, sv in enumerate(servers):
-            sv.free_at = free_end[g]
-            sv.busy_ns = busy_end[g]
-            sv.requests += len_l[g]
-        if d_out is None:
-            return fm[valid] - t
-        d_out[keep] = fm[valid] - t[keep]
-        return d_out
     start0 = np.maximum(attrs[:, 0], heads)
     # Candidate finishes assuming each row stays queued: the exact
     # sequential ``+= s`` chain, seeded per row, replayed left-to-right
@@ -296,10 +272,12 @@ def serve_constant(server, t: np.ndarray, s: float) -> Tuple[np.ndarray, np.ndar
     ``requests`` updates.  Returns ``(total_delay, queue_wait)`` arrays.
 
     Within one busy period the scalar recurrence degenerates to repeated
-    addition of ``s`` — reproduced exactly by a seeded ``np.cumsum`` — so
-    the only sequential work left is locating busy-period boundaries:
-    one numpy comparison per period (and a single vectorized check when
-    the server never queues at all).
+    addition of ``s`` — reproduced exactly by a seeded ``np.cumsum``.
+    Three regimes: an idle server that never queues (one vectorized
+    check), a head-drain batch (arrivals spaced ``>= s`` apart behind a
+    carried-over backlog: one cumsum up to the drain point), and
+    anything else, served one busy period at a time — one cumsum and
+    one comparison per period.
     """
     m = t.shape[0]
     if m == 0:
@@ -308,7 +286,6 @@ def serve_constant(server, t: np.ndarray, s: float) -> Tuple[np.ndarray, np.ndar
     # Fast path: no queueing anywhere in the batch (idle server at every
     # arrival).  ``t[i] >= t[i-1] + s`` uses the exact finish values the
     # scalar loop would compare against.
-    n_gaps = 0
     if m > 1:
         gaps = t[1:] >= t[:-1] + s
         if bool(gaps.all()):
@@ -358,85 +335,13 @@ def serve_constant(server, t: np.ndarray, s: float) -> Tuple[np.ndarray, np.ndar
             server.busy_ns = float(acc[0, -1])
             server.wait_ns = float(acc[1, -1])
             return f - t, w
-        # Idle gaps under the no-queue assumption estimate busy-period
-        # starts (queue carryover only merges periods, never adds any).
-        n_gaps = int(np.count_nonzero(gaps))
     elif free <= t[0]:
         f = t + s
         server.free_at = float(f[-1])
         server.requests += 1
         _accumulate_busy(server, 1, s)
         return f - t, np.zeros(1)
-    if n_gaps and m >= 10:
-        # Breadth-first period replay: chain every provisional busy
-        # period simultaneously, one ``+= s`` vector add per queue depth
-        # — the same left-to-right float accumulation as the scalar loop,
-        # applied to all period heads at once.  Provisional starts (idle
-        # gaps) are a superset of true starts, so the result is valid iff
-        # every provisional start really found the server idle; that is
-        # checked before any state is touched, falling back to the exact
-        # sequential paths below when queue backlog carried across a gap.
-        ps = np.empty(n_gaps + 1, dtype=np.int64)
-        ps[0] = 0
-        ps[1:] = np.flatnonzero(gaps) + 1
-        ends = np.empty(n_gaps + 1, dtype=np.int64)
-        ends[:-1] = ps[1:]
-        ends[-1] = m
-        if int((ends - ps).max()) <= _SERVE_VEC_MAX_DEPTH:
-            bases = t[ps]
-            if free > t[0]:
-                bases[0] = free
-            curq = bases + s
-            f = np.empty(m)
-            w = np.zeros(m)
-            f[ps] = curq
-            if free > t[0]:
-                w[0] = free - t[0]
-            pos = ps + 1
-            en = ends
-            while True:
-                alive = pos < en
-                if not bool(alive.all()):
-                    pos = pos[alive]
-                    if not pos.size:
-                        break
-                    en = en[alive]
-                    curq = curq[alive]
-                prev = curq           # = free before this arrival (queued)
-                curq = curq + s
-                f[pos] = curq
-                w[pos] = prev - t[pos]
-                pos = pos + 1
-            if bool((f[ps[1:] - 1] <= t[ps[1:]]).all()):
-                server.free_at = float(f[-1])
-                server.requests += m
-                _accumulate_busy(server, m, s)
-                acc = np.empty(m + 1)
-                acc[0] = server.wait_ns
-                acc[1:] = w
-                server.wait_ns = float(np.cumsum(acc)[-1])
-                return f - t, w
-    if m < _SERVE_PERIOD_COST * (n_gaps + 1):
-        # Dense busy periods (scattered arrivals, short queues): an
-        # interpreter replay of ``_Server.service`` — same float ops,
-        # same order — beats per-busy-period numpy passes.
-        busy = server.busy_ns
-        waits = server.wait_ns
-        d_l: List[float] = []
-        w_l: List[float] = []
-        for now in t.tolist():
-            start = free if free > now else now
-            free = start + s
-            busy += s
-            w = start - now
-            waits += w
-            d_l.append(free - now)
-            w_l.append(w)
-        server.free_at = free
-        server.busy_ns = busy
-        server.wait_ns = waits
-        server.requests += m
-        return np.asarray(d_l), np.asarray(w_l)
+    # Queueing inside the batch: one seeded cumsum per busy period.
     f = np.empty(m)
     start = np.empty(m)
     i = 0
@@ -1176,13 +1081,8 @@ def local_hit_segment(
     t0: float,
     per_issue_ns: float,
     mlp: float,
-    touch_noop: bool = False,
 ) -> Tuple[float, float]:
     """Service a run of local L3 hits: one bulk LRU touch + a clock replay.
-
-    ``touch_noop=True`` asserts the caller already proved the slice's
-    recency tail equals ``keys_list`` (the hot re-read steady state), so
-    the bulk touch would reorder nothing and only the hit counter moves.
 
     Preconditions (established by the caller's classification): every key
     is resident in ``chiplet``'s slice, and for write batches this chiplet
@@ -1204,10 +1104,7 @@ def local_hit_segment(
     if per_issue_ns > step:
         step = per_issue_ns
     t_last = _chain(t0, n - 1, step)
-    if touch_noop:
-        machine.caches.caches[chiplet].hits += n
-    else:
-        machine.caches.touch_run(chiplet, keys_list)
+    machine.caches.touch_run(chiplet, keys_list)
     fl = machine._fill_lat
     fl[IDX_LOCAL_CHIPLET] = _chain(fl[IDX_LOCAL_CHIPLET], n, ns)
     return t_last + step, t_last + ns

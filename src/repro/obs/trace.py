@@ -16,8 +16,6 @@ Events carry the worker's chiplet and NUMA node at event time, so a
 migration is a *pair* of locations (``src_core``/``src_chiplet`` ->
 ``core``/``chiplet``) and the merged exporter in :mod:`repro.obs.export`
 can draw it as a cross-lane arrow between chiplet lanes in Perfetto.
-
-Historically ``repro.runtime.trace``; that path re-exports this module.
 """
 
 import json

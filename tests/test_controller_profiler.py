@@ -3,7 +3,7 @@
 from repro.hw.machine import milan
 from repro.runtime.controller import AdaptiveController, Approach, ControllerMetrics
 from repro.runtime.ops import AccessBatch, Compute, YieldPoint
-from repro.runtime.profiler import ProfileLog, fill_breakdown, sample_workers, utilization
+from repro.obs.profiler import ProfileLog, fill_breakdown, sample_workers, utilization
 from repro.runtime.policy import StaticSpreadStrategy
 from repro.runtime.runtime import Runtime
 

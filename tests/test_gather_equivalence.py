@@ -13,7 +13,9 @@ virtual times, LRU contents *and order*, the sharing directory,
 hit/miss/eviction statistics, per-core fill counters, and bandwidth
 server state must match a forced-scalar twin exactly — bit for bit —
 and every run must leave the directory structurally consistent
-(:meth:`CacheSystem.check_directory_consistent`).
+(:meth:`CacheSystem.check_directory_consistent`).  The twin and the
+state snapshot come from the shared harness,
+``tests/test_kernel_harness.py``.
 
 Scenario shapes pin the gather-specific classes: raw gups-style streams
 (unsorted, occasional repeats), duplicate-heavy batches drawn from a
@@ -27,64 +29,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.hw.machine as machine_mod
-from repro.hw.machine import (
-    MachineGeometry,
-    milan,
-    sapphire_rapids,
-    small_test_machine,
-)
+from repro.hw.machine import MachineGeometry, milan, small_test_machine
 from repro.hw.memory import MemPolicy
 from repro.obs.selfprof import KernelProfiler
-
-
-def _dse_machine(l3_mib):
-    """A DSE lattice point at the sweep's scale (128): 4 MiB -> 8-block
-    slices, 32 MiB -> 64-block slices — the capacity-pressured regime
-    the product runs."""
-    return lambda: MachineGeometry(
-        chiplets_per_socket=4, cores_per_chiplet=4, l3_mib_per_chiplet=l3_mib,
-        mem_channels_per_socket=4).build(scale=128)
-
-
-MACHINES = {
-    "small_test_machine": small_test_machine,
-    "milan32": lambda: milan(scale=32),
-    "sapphire_rapids32": lambda: sapphire_rapids(scale=32),
-    "dse_l3_4": _dse_machine(4),
-    "dse_l3_32": _dse_machine(32),
-}
-
-
-def scalar_batch(machine, core, region, blocks, now, **kw):
-    """Service a batch with the vector kernels disabled (reference path)."""
-    saved = machine_mod.VECTOR_MIN
-    machine_mod.VECTOR_MIN = 1 << 60
-    try:
-        return machine.access_batch(core, region, list(blocks), now, **kw)
-    finally:
-        machine_mod.VECTOR_MIN = saved
-
-
-def machine_state(m):
-    """Everything the equivalence contract covers, as comparable values."""
-    return {
-        "directory": {k: frozenset(v) for k, v in m.caches.directory.items()},
-        "lru": [list(c._lru.items()) for c in m.caches.caches],
-        "cache_stats": [
-            (c.hits, c.misses, c.evictions, c.used_bytes) for c in m.caches.caches
-        ],
-        "bandwidth": m.bandwidth_stats(),
-        "counters": [m.counters.core(c).v for c in range(m.topo.total_cores)],
-        "total_accesses": m.total_accesses,
-    }
-
-
-def assert_same_state(m_vec, m_ref):
-    sv, sr = machine_state(m_vec), machine_state(m_ref)
-    for k in sv:
-        assert sv[k] == sr[k], f"state mismatch in {k}"
-    assert m_vec.caches.check_directory_consistent()
+from tests.test_kernel_harness import (
+    MACHINES,
+    assert_same_state,
+    core_on_other_chiplet,
+    dse_machine,
+    scalar_batch,
+)
 
 
 def _pair(mk, policy=MemPolicy.INTERLEAVE, blocks=96):
@@ -171,13 +125,9 @@ def test_gather_matches_scalar_on_reverse_sorted_batch(mk):
 @pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
 def test_gather_peer_fills_after_cross_core_warm(mk):
     """Unsorted re-reads from another chiplet: gathered peer fills."""
-    m_vec = mk()
-    if m_vec.topo.total_chiplets < 2:
-        pytest.skip("machine has a single chiplet")
     m_vec, r_vec, m_ref, r_ref = _pair(mk, blocks=64)
     warm = list(range(r_vec.n_blocks))
-    other = next(c for c, ch in enumerate(m_vec._chiplet_of_core)
-                 if ch != m_vec._chiplet_of_core[0])
+    other = core_on_other_chiplet(m_vec, 0)
     rng = np.random.default_rng(3)
     reread = rng.permutation(np.arange(r_vec.n_blocks, dtype=np.int64))
     _drive(m_vec, r_vec, m_ref, r_ref,
@@ -194,7 +144,7 @@ def test_gather_serves_capacity_pressured_batches_whole(l3_mib, policy):
     unsorted re-reads with peer holders, on 8- and 64-block slices:
     bit-identical to the scalar twin, and every access serviced by the
     gather kernel — none charged to the scalar fallback."""
-    mk = _dse_machine(l3_mib)
+    mk = dse_machine(l3_mib)
     m_vec, r_vec, m_ref, r_ref = _pair(mk, policy, blocks=1024)
     prof = m_vec.profiler = KernelProfiler()
     rng = np.random.default_rng(13)

@@ -8,7 +8,8 @@ miss / scalar labelling, the hot-replay fast path in ``access_run``, and
 the per-source fill-latency histogram.  The contract is unchanged:
 virtual times, LRU contents *and order*, the sharing directory,
 hit/miss/eviction statistics, per-core fill counters, and bandwidth
-server state must match a forced-scalar twin exactly — bit for bit.
+server state must match a forced-scalar twin exactly — bit for bit
+(the shared harness in ``tests/test_kernel_harness.py``).
 
 Scenario shapes are chosen to pin each class: hit-heavy (warm re-reads),
 peer-heavy (another chiplet is the holder), and mixed batches with
@@ -23,45 +24,12 @@ from repro.hw.cache import CacheSystem
 from repro.hw.counters import SOURCE_INDEX, FillSource
 from repro.hw.memory import MemPolicy
 from repro.hw.topology import Topology
-
-from repro.hw.machine import milan, sapphire_rapids, small_test_machine
-
-MACHINES = {
-    "small_test_machine": small_test_machine,
-    "milan32": lambda: milan(scale=32),
-    "sapphire_rapids32": lambda: sapphire_rapids(scale=32),
-}
-
-
-def scalar_batch(machine, core, region, blocks, now, **kw):
-    """Service a batch with the vector kernels disabled (reference path)."""
-    saved = machine_mod.VECTOR_MIN
-    machine_mod.VECTOR_MIN = 1 << 60
-    try:
-        return machine.access_batch(core, region, list(blocks), now, **kw)
-    finally:
-        machine_mod.VECTOR_MIN = saved
-
-
-def machine_state(m):
-    """Everything the equivalence contract covers, as comparable values."""
-    return {
-        "directory": {k: frozenset(v) for k, v in m.caches.directory.items()},
-        "lru": [list(c._lru.items()) for c in m.caches.caches],
-        "cache_stats": [
-            (c.hits, c.misses, c.evictions, c.used_bytes) for c in m.caches.caches
-        ],
-        "bandwidth": m.bandwidth_stats(),
-        "counters": [m.counters.core(c).v for c in range(m.topo.total_cores)],
-        "total_accesses": m.total_accesses,
-    }
-
-
-def assert_same_state(m_vec, m_ref):
-    sv, sr = machine_state(m_vec), machine_state(m_ref)
-    for k in sv:
-        assert sv[k] == sr[k], f"state mismatch in {k}"
-    assert m_vec.caches.check_directory_consistent()
+from tests.test_kernel_harness import (
+    PRESETS,
+    assert_same_state,
+    core_on_other_chiplet,
+    scalar_batch,
+)
 
 
 def _warm(machine, region, core, blocks, now=0.0):
@@ -69,18 +37,9 @@ def _warm(machine, region, core, blocks, now=0.0):
     return scalar_batch(machine, core, region, blocks, now).ns
 
 
-def _core_on_other_chiplet(machine, core):
-    """A core whose chiplet differs from ``core``'s (same or other socket)."""
-    mine = machine._chiplet_of_core[core]
-    for c, ch in enumerate(machine._chiplet_of_core):
-        if ch != mine:
-            return c
-    pytest.skip("machine has a single chiplet")
-
-
 # -- Hit-heavy: warm re-reads stay on the local-hit kernel -------------------
 
-@pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
+@pytest.mark.parametrize("mk", PRESETS.values(), ids=PRESETS.keys())
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -118,7 +77,7 @@ def test_hit_heavy_bit_identical(mk, data):
     assert_same_state(m_vec, m_ref)
 
 
-@pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
+@pytest.mark.parametrize("mk", PRESETS.values(), ids=PRESETS.keys())
 def test_hot_replay_steady_state(mk):
     """Repeated identical runs hit ``access_run``'s hot-replay fast path."""
     m_vec, m_ref = mk(), mk()
@@ -147,7 +106,7 @@ def test_hot_replay_steady_state(mk):
 
 # -- Peer-heavy: another chiplet holds every block ---------------------------
 
-@pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
+@pytest.mark.parametrize("mk", PRESETS.values(), ids=PRESETS.keys())
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -158,7 +117,7 @@ def test_peer_heavy_bit_identical(mk, data):
     r_ref = m_ref.alloc_region(size, node=0, policy=MemPolicy.BIND, name="pr")
     n_blocks = r_vec.n_blocks
     holder_core = data.draw(st.integers(0, m_vec.topo.total_cores - 1))
-    reader_core = _core_on_other_chiplet(m_vec, holder_core)
+    reader_core = core_on_other_chiplet(m_vec, holder_core)
 
     warm = list(range(n_blocks))
     _warm(m_vec, r_vec, holder_core, warm)
@@ -183,7 +142,7 @@ def test_peer_heavy_bit_identical(mk, data):
 
 # -- Mixed batches with duplicates: the segment splitter ---------------------
 
-@pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
+@pytest.mark.parametrize("mk", PRESETS.values(), ids=PRESETS.keys())
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -195,7 +154,7 @@ def test_mixed_duplicate_batches_bit_identical(mk, data):
     r_ref = m_ref.alloc_region(size, node=0, policy=MemPolicy.BIND, name="mx")
     n_blocks = r_vec.n_blocks
     core_a = data.draw(st.integers(0, m_vec.topo.total_cores - 1))
-    core_b = _core_on_other_chiplet(m_vec, core_a)
+    core_b = core_on_other_chiplet(m_vec, core_a)
 
     # Plant residency: core_a holds the low third, core_b the middle
     # third, the top third stays cold — so one batch can mix all classes.
@@ -350,7 +309,7 @@ def test_fill_latency_histogram_tracks_sources(tiny):
     n = r.n_blocks
     tiny.access_batch(0, r, list(range(n)), now=0.0)       # DRAM fills
     tiny.access_batch(0, r, list(range(n)), now=1e6)       # local hits
-    other = _core_on_other_chiplet(tiny, 0)
+    other = core_on_other_chiplet(tiny, 0)
     tiny.access_batch(other, r, list(range(n)), now=2e6)   # peer fills
     hist = tiny.bandwidth_stats()["fill_latency"]["per_source"]
     fills = tiny.counters.totals()

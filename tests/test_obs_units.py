@@ -96,21 +96,6 @@ def test_kernel_profiler_report_shares():
     assert all(p in PATHS for p in rep)
 
 
-# -- Shims ---------------------------------------------------------------------
-
-def test_runtime_trace_shim_is_obs_trace():
-    import repro.obs.profiler
-    import repro.obs.trace
-    import repro.runtime.profiler
-    import repro.runtime.trace
-
-    assert repro.runtime.trace.Tracer is repro.obs.trace.Tracer
-    assert repro.runtime.trace.TraceEvent is repro.obs.trace.TraceEvent
-    assert repro.runtime.trace.EventKind is repro.obs.trace.EventKind
-    assert repro.runtime.profiler.utilization is repro.obs.profiler.utilization
-    assert repro.runtime.profiler.ProfileLog is repro.obs.profiler.ProfileLog
-
-
 def test_obs_package_lazy_exports():
     import repro.obs as obs
 

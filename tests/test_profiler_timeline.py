@@ -3,7 +3,7 @@
 from repro.hw.machine import small_test_machine
 from repro.runtime.ops import Compute, YieldPoint
 from repro.runtime.policy import StaticSpreadStrategy
-from repro.runtime.profiler import concurrency_series
+from repro.obs.profiler import concurrency_series
 from repro.runtime.runtime import Runtime
 
 

@@ -1,8 +1,7 @@
-"""SQLite result store: round-trip, LRU bound, gc, migration, recovery,
+"""SQLite result store: round-trip, LRU bound, gc, recovery,
 and multi-process contention (the advisor service shares one store
 between server workers and batch sweeps)."""
 
-import json
 import multiprocessing
 import threading
 import time
@@ -179,18 +178,3 @@ def test_wal_journal_mode_reported(tmp_path):
     assert store.stats()["journal_mode"] == store.journal_mode
     assert store.journal_mode in ("wal", "delete", "truncate", "memory")
 
-
-def test_migration_imports_and_removes_legacy_files(tmp_path):
-    legacy = {"cell_id": "e/c8/s7", "cell": {"experiment": "fig04"},
-              "code_version": "v1", "result": {"metric": 3.5}}
-    (tmp_path / "abc123.json").write_text(json.dumps(legacy))
-    (tmp_path / "broken.json").write_text("{nope")
-    store = ResultStore.open(tmp_path)
-    assert store.migrated == 1
-    hit, result = store.get("abc123")
-    assert hit and result == {"metric": 3.5}
-    assert not (tmp_path / "abc123.json").exists()
-    assert (tmp_path / "broken.json").exists()  # left for inspection
-    # reopening doesn't double-import
-    store2 = ResultStore.open(tmp_path)
-    assert store2.count() == 1

@@ -151,12 +151,8 @@ def test_ljf_orders_by_estimated_cost():
     small = _cell(cores=2)
     big = _cell(cores=64)
     model = CostModel()  # uncalibrated: falls back to the work hint
-    ordered = sweep._order_cells([small, big], model, "ljf")
+    ordered = sweep._order_cells([small, big], model)
     assert ordered == [big, small]
-    # fifo keeps caller order
-    assert sweep._order_cells([small, big], model, "fifo") == [small, big]
-    with pytest.raises(ValueError):
-        sweep._order_cells([small], model, "sjf")
 
 
 def test_chunk_packing_covers_all_cells_once():
@@ -164,7 +160,7 @@ def test_chunk_packing_covers_all_cells_once():
 
     cells = [_cell(cores=c) for c in range(1, 41)]
     model = CostModel()
-    ordered = sweep._order_cells(cells, model, "ljf")
+    ordered = sweep._order_cells(cells, model)
     chunks = sweep._pack_chunks(ordered, model, jobs=4)
     flat = [c.cell_id for chunk in chunks for c in chunk]
     assert sorted(flat) == sorted(c.cell_id for c in cells)
@@ -179,9 +175,6 @@ def test_parallel_chunked_matches_serial(cache):
     parallel, p_stats = sweep.run_cells(cells, jobs=2, use_cache=False)
     assert parallel == serial
     assert p_stats.chunks >= 1
-    fifo, _ = sweep.run_cells(cells, jobs=2, use_cache=False,
-                              order="fifo", chunked=False)
-    assert fifo == serial
 
 
 def test_stats_throughput_properties():
@@ -192,26 +185,6 @@ def test_stats_throughput_properties():
     assert stats.cache_hit_ratio == 0.2
     d = stats.as_dict()
     assert d["cells_per_sec"] == 2.0 and d["pool_efficiency"] == 0.75
-
-
-def test_legacy_json_cache_migrates_into_store(cache, tmp_path):
-    import json as _json
-
-    # fabricate a PR 2-era cache: one <key>.json per cell
-    cell = _cell()
-    key = sweep.cache_key(cell)
-    cache.mkdir(parents=True)
-    legacy_doc = {"cell_id": cell.cell_id, "cell": cell.config(),
-                  "code_version": sweep.code_version(),
-                  "result": {"metric": 1.25}}
-    (cache / f"{key}.json").write_text(_json.dumps(legacy_doc))
-    (cache / "garbage.json").write_text("{not json")
-    sweep._STORE = None  # force a fresh open → migration
-    hit, result = sweep.load_cached(cell)
-    assert hit and result == {"metric": 1.25}
-    assert not (cache / f"{key}.json").exists()  # imported and removed
-    assert (cache / "garbage.json").exists()     # unparsable: left alone
-    assert sweep.get_store().migrated == 1
 
 
 def test_run_many_pools_cells_across_experiments(cache):

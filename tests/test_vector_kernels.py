@@ -7,58 +7,20 @@ times, fill counters, per-slice LRU contents *and order*, the sharing
 directory, hit/miss/eviction statistics, and the bandwidth-server state
 (free_at/busy_ns/wait_ns/requests) must match exactly.
 
-The property tests here force the scalar path on a twin machine (by
-raising ``VECTOR_MIN`` beyond any batch size) and compare full machine
-state after pathological batch sequences: duplicates, capacity-overflow
-runs, mixed hit/miss, cross-socket holders, writes with sharers, and
-strided runs.
+The property tests here force the scalar path on a twin machine (the
+shared harness in ``tests/test_kernel_harness.py`` raises ``VECTOR_MIN``
+beyond any batch size) and compare full machine state after
+pathological batch sequences: duplicates, capacity-overflow runs, mixed
+hit/miss, cross-socket holders, writes with sharers, and strided runs.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import repro.hw.machine as machine_mod
-from repro.hw.machine import milan, sapphire_rapids, small_test_machine
 from repro.hw.memory import MemPolicy, _Server
 from repro.hw.vector import serve_constant
-
-MACHINES = {
-    "small_test_machine": small_test_machine,
-    "milan32": lambda: milan(scale=32),
-    "sapphire_rapids32": lambda: sapphire_rapids(scale=32),
-}
-
-
-def scalar_batch(machine, core, region, blocks, now, **kw):
-    """Service a batch with the vector kernels disabled (reference path)."""
-    saved = machine_mod.VECTOR_MIN
-    machine_mod.VECTOR_MIN = 1 << 60
-    try:
-        return machine.access_batch(core, region, list(blocks), now, **kw)
-    finally:
-        machine_mod.VECTOR_MIN = saved
-
-
-def machine_state(m):
-    """Everything the equivalence contract covers, as comparable values."""
-    return {
-        "directory": {k: frozenset(v) for k, v in m.caches.directory.items()},
-        "lru": [list(c._lru.items()) for c in m.caches.caches],
-        "cache_stats": [
-            (c.hits, c.misses, c.evictions, c.used_bytes) for c in m.caches.caches
-        ],
-        "bandwidth": m.bandwidth_stats(),
-        "counters": [m.counters.core(c).v for c in range(m.topo.total_cores)],
-        "total_accesses": m.total_accesses,
-    }
-
-
-def assert_same_state(m_vec, m_ref):
-    sv, sr = machine_state(m_vec), machine_state(m_ref)
-    for k in sv:
-        assert sv[k] == sr[k], f"state mismatch in {k}"
-    assert m_vec.caches.check_directory_consistent()
+from tests.test_kernel_harness import PRESETS, assert_same_state, scalar_batch
 
 
 # -- Full-machine equivalence: vector path vs forced-scalar twin -------------
@@ -95,7 +57,7 @@ def batch_spec(draw, n_blocks):
     return blocks, write, mlp, per_issue, nbytes
 
 
-@pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
+@pytest.mark.parametrize("mk", PRESETS.values(), ids=PRESETS.keys())
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -137,7 +99,7 @@ def test_vector_path_bit_identical_to_scalar(mk, data):
     assert_same_state(m_vec, m_ref)
 
 
-@pytest.mark.parametrize("mk", MACHINES.values(), ids=MACHINES.keys())
+@pytest.mark.parametrize("mk", PRESETS.values(), ids=PRESETS.keys())
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -196,6 +158,10 @@ def test_access_run_empty_is_noop(tiny):
 
 # -- serve_constant vs sequential _Server.service ----------------------------
 
+# Pinned shapes: a single arrival on a busy server, and >= 10 arrivals
+# in short busy periods split by idle gaps — from an idle server and
+# behind a backlog that carries across the gaps.  The per-period cumsum
+# path serves all three.
 @settings(max_examples=60, deadline=None)
 @given(
     gaps=st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=40),
@@ -203,6 +169,9 @@ def test_access_run_empty_is_noop(tiny):
     free0=st.floats(0.0, 100.0, allow_nan=False),
     t0=st.floats(0.0, 100.0, allow_nan=False),
 )
+@example(gaps=[0.0], s=5.0, free0=50.0, t0=10.0)
+@example(gaps=[0.5, 10.0] * 6, s=2.0, free0=0.0, t0=5.0)
+@example(gaps=[0.5, 0.5, 3.0] * 5, s=1.5, free0=40.0, t0=5.0)
 def test_serve_constant_replays_scalar_server(gaps, s, free0, t0):
     t = np.cumsum(np.concatenate(([t0], gaps)))[:-1] if len(gaps) > 1 else \
         np.array([t0])
