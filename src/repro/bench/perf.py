@@ -156,6 +156,7 @@ def _run_scenario(build, attach=None) -> Dict[str, float]:
         },
     }
     out["gather_declines"] = dict(runtime.machine.gather_declines)
+    out["skipped_steal_rounds"] = runtime.skipped_steal_rounds
     stats = getattr(runtime.machine.caches, "stats", None)
     if stats is not None:
         out["cache"] = stats()["total"]
@@ -606,7 +607,8 @@ def run_suite(sizes: Dict[str, int], verbose: bool = True,
                 print(f"{'':12s} kernel wall shares: {shares}")
                 declines = ", ".join(f"{reason}={k}" for reason, k
                                      in best["gather_declines"].items())
-                print(f"{'':12s} gather declines: {declines}")
+                print(f"{'':12s} gather declines: {declines}; "
+                      f"skipped steal rounds: {best['skipped_steal_rounds']}")
     return results
 
 

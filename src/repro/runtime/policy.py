@@ -19,10 +19,9 @@ strategies.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.hw.machine import Machine
-from repro.runtime.queues import flat_steal_order, hierarchical_steal_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import Runtime
@@ -129,7 +128,7 @@ class SchedulingStrategy:
 
     The shared runtime (:class:`repro.runtime.runtime.Runtime`) delegates
     every placement decision to its strategy: initial worker pinning,
-    task placement, steal-victim order, NUMA allocation node, context
+    task placement, steal-victim tiers, NUMA allocation node, context
     switch costs, and the periodic adaptation hook.  CHARM and all paper
     baselines are implementations of this interface over the *same*
     machine and task model, so measured differences come only from policy.
@@ -179,12 +178,37 @@ class SchedulingStrategy:
         """
         return runtime.rr_next_worker()
 
-    def steal_order(self, worker: "Worker", runtime: "Runtime") -> List[int]:
-        if self.hierarchical_stealing:
-            return hierarchical_steal_order(
-                runtime.machine.topo, worker.core, runtime.worker_cores(), worker.rng
-            )
-        return flat_steal_order(worker.worker_id, len(runtime.workers), worker.rng)
+    def steal_tiers(self, worker: "Worker", runtime: "Runtime") -> Tuple[List[int], ...]:
+        """``worker``'s steal victims, grouped nearest tier first.
+
+        Each tier lists worker ids in worker-id order; a probe round
+        shuffles every tier (see :class:`~repro.runtime.queues.StealPlan`).
+        Hierarchical stealing (CHARM, section 4.4) tiers victims by same
+        chiplet, then same socket, then remote socket; flat stealing
+        (NUMA-aware baselines) has one topology-oblivious tier.  The
+        runtime memoizes the result until a worker migrates.
+        """
+        if not self.hierarchical_stealing:
+            me = worker.worker_id
+            return ([w for w in range(len(runtime.workers)) if w != me],)
+        topo = runtime.machine.topo
+        chiplet_of = topo.chiplet_of_core_table
+        socket_of = topo.numa_of_core_table
+        my_core = worker.core
+        my_chiplet = chiplet_of[my_core]
+        my_socket = socket_of[my_core]
+        tiers: Tuple[List[int], ...] = ([], [], [])
+        for wid, other in enumerate(runtime.workers):
+            core = other.core
+            if core == my_core:
+                continue
+            if chiplet_of[core] == my_chiplet:
+                tiers[0].append(wid)
+            elif socket_of[core] == my_socket:
+                tiers[1].append(wid)
+            else:
+                tiers[2].append(wid)
+        return tiers
 
     def on_tick(self, worker: "Worker", runtime: "Runtime") -> None:
         """Periodic adaptation hook, called at yield points and task ends."""

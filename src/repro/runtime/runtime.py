@@ -16,6 +16,7 @@ from repro.hw.machine import Machine
 from repro.hw.memory import MemPolicy, Region
 from repro.obs.context import attach_if_active
 from repro.runtime.policy import SchedulingStrategy
+from repro.runtime.queues import StealableCount, StealPlan
 from repro.runtime.sync import Barrier, Future
 from repro.runtime.task import Task, TaskState
 from repro.runtime.worker import Worker
@@ -126,6 +127,9 @@ class Runtime:
 
         self.loop = EventLoop()
         self.loop.max_steps = max_steps
+        #: queued unpinned tasks across every worker's queue (shared by
+        #: the queues, read by idle workers before they probe)
+        self.stealable = StealableCount()
         self.workers: List[Worker] = []
         self.core_ledger: Dict[int, int] = {}  # core -> worker id
         for wid in range(n_workers):
@@ -148,6 +152,10 @@ class Runtime:
         self.tasks_completed = 0
         self.total_steals = 0
         self.total_migrations = 0
+        #: probe rounds charged without visiting a deque (stealable == 0)
+        self.skipped_steal_rounds = 0
+        #: per-worker victim tiers, memoized until a worker migrates
+        self._steal_plans: List[Optional[StealPlan]] = [None] * n_workers
         self._idle: List[Worker] = []
         self._rr = 0
         self._completion: Dict[int, Future] = {}
@@ -261,6 +269,14 @@ class Runtime:
     def worker_cores(self) -> List[int]:
         return [w.core for w in self.workers]
 
+    def steal_plan(self, worker: Worker) -> StealPlan:
+        """``worker``'s memoized victim tiers (rebuilt after a migration)."""
+        plan = self._steal_plans[worker.worker_id]
+        if plan is None:
+            plan = StealPlan(self.strategy.steal_tiers(worker, self))
+            self._steal_plans[worker.worker_id] = plan
+        return plan
+
     # -- Execution ------------------------------------------------------------------
 
     def run(self) -> RunReport:
@@ -273,6 +289,9 @@ class Runtime:
         for w in self.workers:
             self.loop.add(w)
         wall_ns = self.loop.run()
+        # The steal plans only serve the run: a finished runtime can wait
+        # in a reference cycle for a full collection, and they need not.
+        self._steal_plans = [None] * len(self.workers)
         return self._report(wall_ns)
 
     def _report(self, wall_ns: float) -> RunReport:
@@ -431,8 +450,10 @@ class Runtime:
         del self.core_ledger[worker.core]
         self.core_ledger[target_core] = worker.worker_id
         worker.core = target_core
-        # Worker placement changed: memoized barrier spans are stale-keyed.
+        # Worker placement changed: memoized barrier spans are stale-keyed,
+        # and every worker's victim tiers may have moved.
         self.machine.invalidate_sync_cache()
+        self._steal_plans = [None] * len(self.workers)
         # Alg. 2 lines 13-14: bind the worker's memory policy to the new node.
         worker.mem_node = self.machine.topo.numa_of_core(target_core)
         worker.clock += self.strategy.migration_cost_ns

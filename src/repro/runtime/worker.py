@@ -62,7 +62,7 @@ class Worker(Actor):
         self.core = core
         self.runtime = runtime
         self.rng = rng
-        self.queue = LocalQueue()
+        self.queue = LocalQueue(runtime.stealable)
         self.current: Optional[Task] = None
         self.blocked_current = False  # blocking_sync: current task waits while worker parks
 
@@ -97,34 +97,58 @@ class Worker(Actor):
     # -- Actor interface -------------------------------------------------------
 
     def step(self, loop: EventLoop) -> StepOutcome:
-        rt = self.runtime
+        prof = self.runtime.machine.profiler
+        if prof is None:
+            return self._step(loop)
+        # Self-profiled step: attribute its wall clock (task acquisition,
+        # steal rounds included, plus the slice) to the "orchestration"
+        # bucket net of whatever the kernel paths (and the program
+        # interpreter) charged themselves during the step.
+        t0 = perf_counter()
+        k0 = prof.total_wall_s()
+        out = self._step(loop)
+        prof.add("orchestration", 0,
+                 (perf_counter() - t0) - (prof.total_wall_s() - k0))
+        return out
+
+    def _step(self, loop: EventLoop) -> StepOutcome:
         if self.current is None:
             task = self.queue.pop_local() or self._try_steal()
             if task is None:
+                rt = self.runtime
                 if rt.outstanding == 0:
                     return StepOutcome.FINISHED
                 rt.park_idle(self)
                 return StepOutcome.PARKED
             self._dispatch(task)
-        prof = rt.machine.profiler
-        if prof is None:
-            return self._run_slice(loop)
-        # Self-profiled run: attribute the slice's wall clock to the
-        # "orchestration" bucket net of whatever the kernel paths (and the
-        # program interpreter) charged themselves during the slice.
-        t0 = perf_counter()
-        k0 = prof.total_wall_s()
-        out = self._run_slice(loop)
-        prof.add("orchestration", 0,
-                 (perf_counter() - t0) - (prof.total_wall_s() - k0))
-        return out
+        return self._run_slice(loop)
 
     # -- Task acquisition --------------------------------------------------------
 
     def _try_steal(self) -> Optional[Task]:
         rt = self.runtime
         strategy = rt.strategy
-        for victim_id in strategy.steal_order(self, rt):
+        plan = rt.steal_plan(self)
+        if not rt.stealable.n:
+            # No queue holds an unpinned task, so every probe fails: draw
+            # what the shuffles would, then charge the probes one add at a
+            # time, exactly as the probe loop does (float addition is not
+            # associative, so n x probe in one add could differ).
+            plan.skip(self.rng.getrandbits)
+            n = plan.n_victims
+            self.steal_attempts += n
+            rt.skipped_steal_rounds += 1
+            probe = strategy.steal_probe_ns
+            if probe:
+                clock = self.clock
+                busy = self.busy_ns
+                for _ in range(n):
+                    clock += probe
+                    busy += probe
+                self.clock = clock
+                self.busy_ns = busy
+            return None
+        for victim_id in plan.order(self.rng.getrandbits):
             self.steal_attempts += 1
             victim = rt.workers[victim_id]
             self._charge(strategy.steal_probe_ns)

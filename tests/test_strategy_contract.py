@@ -73,6 +73,6 @@ def test_steal_order_excludes_self(mk):
     machine = milan(scale=64)
     rt = Runtime(machine, 6, mk(), seed=1)
     for w in rt.workers:
-        order = rt.strategy.steal_order(w, rt)
+        order = rt.steal_plan(w).order(w.rng.getrandbits)
         assert w.worker_id not in order
         assert set(order) <= set(range(6))
